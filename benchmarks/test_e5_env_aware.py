@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.experiments import ExperimentRecord
 from repro.analysis.tables import render_table
 from repro.baselines import StaticParallel
+from repro.config import ParallelStaticConfig
 from repro.core.decision import DecisionConfig
 from repro.core.strategy import SageStrategy
 from repro.simulation.units import GB, MB
@@ -47,7 +48,7 @@ def run_one(strategy_name: str, src: str, dst: str, size: float) -> float:
     if strategy_name == "sage":
         strat = SageStrategy(n_nodes=N_NODES, adaptive=True)
     else:
-        strat = StaticParallel(n_nodes=N_NODES, streams=4)
+        strat = StaticParallel(ParallelStaticConfig(n_nodes=N_NODES, streams=4))
     return strat.run(engine, src, dst, size).seconds
 
 

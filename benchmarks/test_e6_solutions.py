@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.experiments import ExperimentRecord
 from repro.analysis.tables import render_table
 from repro.baselines import BlobRelay, EndPoint2EndPoint, GridFtpLike
+from repro.config import DirectConfig
 from repro.core.strategy import SageStrategy
 from repro.simulation.units import GB, MB
 from repro.workloads.synthetic import fresh_engine
@@ -24,7 +25,7 @@ SEED = 24006
 SIZES = (64 * MB, 256 * MB, 1 * GB, 2 * GB)
 STRATEGIES = (
     ("AzureBlobs", lambda: BlobRelay()),
-    ("EndPoint2EndPoint", lambda: EndPoint2EndPoint(streams=4)),
+    ("EndPoint2EndPoint", lambda: EndPoint2EndPoint(DirectConfig(streams=4))),
     ("GlobusOnline-like", lambda: GridFtpLike()),
     ("GEO-SAGE", lambda: SageStrategy(n_nodes=10)),
 )

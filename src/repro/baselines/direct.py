@@ -12,14 +12,8 @@ class EndPoint2EndPoint:
 
     label = "EndPoint2EndPoint"
 
-    def __init__(
-        self, config: DirectConfig | dict | None = None, **legacy
-    ) -> None:
-        cfg = resolve_config(
-            DirectConfig, config, legacy,
-            "EndPoint2EndPoint(streams=...)",
-            "EndPoint2EndPoint(DirectConfig(...))",
-        )
+    def __init__(self, config: DirectConfig | dict | None = None) -> None:
+        cfg = resolve_config(DirectConfig, config)
         self.config = cfg
         self.streams = cfg.streams
 

@@ -21,14 +21,8 @@ class GridFtpLike:
 
     label = "GlobusOnline-like"
 
-    def __init__(
-        self, config: GridFtpConfig | dict | None = None, **legacy
-    ) -> None:
-        cfg = resolve_config(
-            GridFtpConfig, config, legacy,
-            "GridFtpLike(streams=..., submission_latency=..., ...)",
-            "GridFtpLike(GridFtpConfig(...))",
-        )
+    def __init__(self, config: GridFtpConfig | dict | None = None) -> None:
+        cfg = resolve_config(GridFtpConfig, config)
         self.config = cfg
         self.streams = cfg.streams
         self.submission_latency = cfg.submission_latency

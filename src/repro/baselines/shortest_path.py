@@ -54,15 +54,8 @@ class StaticShortestPath:
 
     label = "ShortestPath-static"
 
-    def __init__(
-        self, config: ShortestPathConfig | dict | None = None, **legacy
-    ) -> None:
-        legacy.pop("replan_interval", None)  # dynamic-only knob
-        cfg = resolve_config(
-            ShortestPathConfig, config, legacy,
-            "StaticShortestPath(n_nodes=..., streams=..., max_hops=...)",
-            "StaticShortestPath(ShortestPathConfig(...))",
-        )
+    def __init__(self, config: ShortestPathConfig | dict | None = None) -> None:
+        cfg = resolve_config(ShortestPathConfig, config)
         self.config = cfg
         self.n_nodes = cfg.n_nodes
         self.streams = cfg.streams
@@ -103,14 +96,8 @@ class DynamicShortestPath(StaticShortestPath):
 
     label = "ShortestPath-dynamic"
 
-    def __init__(
-        self, config: ShortestPathConfig | dict | None = None, **legacy
-    ) -> None:
-        cfg = resolve_config(
-            ShortestPathConfig, config, legacy,
-            "DynamicShortestPath(n_nodes=..., replan_interval=...)",
-            "DynamicShortestPath(ShortestPathConfig(...))",
-        )
+    def __init__(self, config: ShortestPathConfig | dict | None = None) -> None:
+        cfg = resolve_config(ShortestPathConfig, config)
         super().__init__(cfg)
         self.replan_interval = cfg.replan_interval
 

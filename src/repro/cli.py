@@ -284,10 +284,34 @@ def cmd_overload(args) -> int:
     return 0 if report.clean else 1
 
 
-def cmd_audit(args) -> int:
-    """Run scenarios under the continuous SLO auditor, strictly."""
+def _write_artifacts(args, reports) -> int:
+    """Write the ``--jsonl`` violations log and, for commands that take
+    it, the ``--report-json`` dump; returns the violation count."""
     import json
 
+    violations = [
+        {"scenario": report.scenario, **v}
+        for report in reports
+        for v in report.audit["violations"]
+    ]
+    if args.jsonl:
+        # Empty file on green — CI uploads it either way, so a missing
+        # artifact never aliases a clean run.
+        with open(args.jsonl, "w", encoding="utf-8") as fh:
+            for v in violations:
+                fh.write(json.dumps(v, sort_keys=True) + "\n")
+        print(f"violations: {len(violations)} -> {args.jsonl}")
+    report_json = getattr(args, "report_json", None)
+    if report_json:
+        (report,) = reports
+        with open(report_json, "w", encoding="utf-8") as fh:
+            fh.write(report.canonical_json() + "\n")
+        print(f"report: -> {report_json}")
+    return len(violations)
+
+
+def cmd_audit(args) -> int:
+    """Run scenarios under the continuous SLO auditor, strictly."""
     from repro.config import ChaosConfig, OverloadConfig
     from repro.faults import run_chaos
     from repro.flow import run_overload
@@ -321,32 +345,21 @@ def cmd_audit(args) -> int:
                 observer=obs,
             )
         )
-    violations: list[dict] = []
     for report in reports:
         audit = report.audit
         cost = report.cost
-        for v in audit["violations"]:
-            violations.append({"scenario": report.scenario, **v})
         print(
             f"{report.scenario}: {audit['checks']} checks, "
             f"{audit['violation_count']} violations, "
             f"${cost.get('total_usd', 0.0):.4f} total "
             f"({'clean' if report.clean else 'VIOLATED'})"
         )
-    if args.jsonl:
-        # Empty file on green — CI uploads it either way, so a missing
-        # artifact never aliases a clean run.
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            for v in violations:
-                fh.write(json.dumps(v, sort_keys=True) + "\n")
-        print(f"violations: {len(violations)} -> {args.jsonl}")
+    violations = _write_artifacts(args, reports)
     return 0 if all(r.clean for r in reports) and not violations else 1
 
 
 def cmd_soak(args) -> int:
     """Run a seeded generated scenario for simulated hours, audited."""
-    import json
-
     from repro.config import SoakConfig
     from repro.gen.soak import run_soak
 
@@ -365,21 +378,7 @@ def cmd_soak(args) -> int:
         observer=_scenario_observer(args),
     )
     print(report.describe())
-    if args.jsonl:
-        # Empty file on green — CI uploads it either way, so a missing
-        # artifact never aliases a clean run.
-        violations = report.audit.get("violations", [])
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            for v in violations:
-                fh.write(
-                    json.dumps({"scenario": "soak", **v}, sort_keys=True)
-                    + "\n"
-                )
-        print(f"violations: {len(violations)} -> {args.jsonl}")
-    if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            fh.write(report.canonical_json() + "\n")
-        print(f"report: -> {args.report_json}")
+    _write_artifacts(args, [report])
     if args.digest:
         # Bare digest on its own line: CI greps it to compare runs.
         print(report.digest)
@@ -388,8 +387,6 @@ def cmd_soak(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the resident-service scenario: lease failover + live config."""
-    import json
-
     from repro.config import ServeConfig
     from repro.control.scenario import run_serve
 
@@ -412,21 +409,7 @@ def cmd_serve(args) -> int:
         observer=_scenario_observer(args),
     )
     print(report.describe())
-    if args.jsonl:
-        # Empty file on green — CI uploads it either way, so a missing
-        # artifact never aliases a clean run.
-        violations = report.audit.get("violations", [])
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            for v in violations:
-                fh.write(
-                    json.dumps({"scenario": "serve", **v}, sort_keys=True)
-                    + "\n"
-                )
-        print(f"violations: {len(violations)} -> {args.jsonl}")
-    if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            fh.write(report.canonical_json() + "\n")
-        print(f"report: -> {args.report_json}")
+    _write_artifacts(args, [report])
     return 0 if report.clean else 1
 
 

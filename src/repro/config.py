@@ -10,28 +10,18 @@ re-tupled on the way in) and ``replace``. Dict form is what the sweep
 runner hashes for cache keys and ships across process boundaries, so the
 round trip must be loss-free.
 
-Old call signatures still work through thin shims that emit
-``DeprecationWarning`` (see ``run_chaos``/``run_overload`` and the
-baseline constructors); new code passes a config object or its dict.
+Scenario entry points and baseline constructors take exactly one of
+these: a config object, its dict form, or ``None`` for the defaults
+(see :func:`resolve_config`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing
-import warnings
 from dataclasses import dataclass
 
 from repro.simulation.units import MB
-
-
-def deprecated_call(old: str, new: str) -> None:
-    """Emit the uniform deprecation warning for a legacy call path."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class ConfigBase:
@@ -202,6 +192,14 @@ class OverloadConfig(ConfigBase):
             raise ValueError("burst_factor must be >= 1")
         if self.max_backlog <= 0:
             raise ValueError("max_backlog must be positive")
+        # A restart scheduled before its crash leaves the aggregator
+        # down for good, and the run never drains.
+        if self.crash_at is not None and self.crash_at < 0:
+            raise ValueError("crash_at must be >= 0")
+        if self.restart_after < 0:
+            raise ValueError("restart_after must be >= 0")
+        if self.checkpoint_interval <= 0:
+            raise ValueError("checkpoint_interval must be positive")
         if self.slo_max_latency_s is not None and self.slo_max_latency_s <= 0:
             raise ValueError("slo_max_latency_s must be positive")
         if self.slo_max_usd_per_1k is not None and self.slo_max_usd_per_1k <= 0:
@@ -601,24 +599,18 @@ class GridFtpConfig(ConfigBase):
             raise ValueError("endpoints must be >= 1")
 
 
-def resolve_config(cls, config, legacy_kwargs, old: str, new: str):
-    """Normalise the (config | dict | legacy kwargs) calling convention.
+def resolve_config(cls, config):
+    """Normalise the (config | dict | None) calling convention.
 
     ``config`` may be an instance of ``cls``, a dict for
-    ``cls.from_dict``, or ``None``; ``legacy_kwargs`` are pre-dataclass
-    keyword arguments, accepted with a :class:`DeprecationWarning` and
-    merged *into* the config (they override its fields, preserving the
-    old call sites' semantics exactly).
+    ``cls.from_dict``, or ``None`` for the defaults.
     """
     if config is None:
-        config = cls()
-    elif isinstance(config, dict):
-        config = cls.from_dict(config)
-    elif not isinstance(config, cls):
+        return cls()
+    if isinstance(config, dict):
+        return cls.from_dict(config)
+    if not isinstance(config, cls):
         raise TypeError(
             f"expected {cls.__name__}, dict, or None — got {type(config).__name__}"
         )
-    if legacy_kwargs:
-        deprecated_call(old, new)
-        config = config.replace(**legacy_kwargs)
     return config

@@ -22,29 +22,20 @@ window was emitted twice across any epoch change, and the loss identity
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from repro.cloud.deployment import CloudEnvironment
 from repro.config import ServeConfig, resolve_config
-from repro.core.engine import SageEngine
-from repro.control.plane import ControlPlane
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.flow.policy import FlowConfig
-from repro.obs.audit import SLOAuditor
-from repro.report import ScenarioReport, metrics_snapshot
+from repro.harness import LossAccounting, ScriptedRun
+from repro.report import ScenarioReport
 from repro.simulation.units import format_bytes
-from repro.streaming.dataflow import SiteSpec, StreamJob
-from repro.streaming.operators import builtin_aggregate
-from repro.streaming.runtime import GeoStreamRuntime, LatencyStats
-from repro.streaming.shipping import ReliableShipping, SageShipping
+from repro.streaming.runtime import LatencyStats
 from repro.streaming.sources import BurstSource
-from repro.streaming.windows import TumblingWindows
 
 
 @dataclass
-class ServeResult:
+class ServeResult(LossAccounting):
     """Everything the service report needs, in plain numbers."""
 
     seed: int
@@ -88,25 +79,6 @@ class ServeResult:
     cost: dict = field(default_factory=dict)
     slo_violations: int = 0
     strict_slo: bool = True
-
-    @property
-    def lost(self) -> int:
-        return max(0, self.ingested - self.counted)
-
-    @property
-    def explained(self) -> int:
-        """Loss the shed/late/abandoned/admission counters explain."""
-        return (
-            self.shed
-            + self.late_dropped
-            + self.late_partial_records
-            + self.abandoned_records
-            + self.admission_rejected
-        )
-
-    @property
-    def accounted(self) -> bool:
-        return self.lost == self.explained
 
     @property
     def mttr_ok(self) -> bool:
@@ -188,7 +160,7 @@ def _kill_times(cfg: ServeConfig) -> list[float]:
 
 
 def run_serve(
-    config: ServeConfig | str | dict | None = None,
+    config: ServeConfig | dict | None = None,
     *,
     observer=None,
 ) -> ScenarioReport:
@@ -199,98 +171,50 @@ def run_serve(
     through). Same seed, same numbers — the determinism tests and the
     CI chaos job rely on it.
     """
-    cfg = resolve_config(
-        ServeConfig, config, {},
-        "run_serve(ServeConfig(...))",
-        "run_serve(ServeConfig(...))",
-    )
-    wall0 = time.perf_counter()
-    seed = cfg.seed
+    cfg = resolve_config(ServeConfig, config)
     duration = cfg.duration
-    site_regions = cfg.site_regions
+    deployment = {region: 2 for region in cfg.site_regions}
+    deployment[cfg.aggregation_region] = 4
+    for region in cfg.standby_regions:
+        deployment[region] = 2
 
-    flow = FlowConfig(
+    run = ScriptedRun(
+        cfg,
+        "serve",
+        deployment,
+        {
+            region: [
+                BurstSource(
+                    f"src-{region}",
+                    base_rate=cfg.base_rate,
+                    burst_rate=cfg.base_rate * 2.0,
+                    burst_start=duration / 3.0,
+                    burst_end=2.0 * duration / 3.0,
+                    keys=["k1", "k2"],
+                )
+            ]
+            for region in cfg.site_regions
+        },
+        cfg.aggregation_region,
         policy=cfg.policy,
         max_backlog=cfg.max_backlog,
-        max_inflight=8,
-        max_pending=None if cfg.policy == "block" else 64,
-        breaker_threshold=3,
-        breaker_reset=20.0,
-    )
-    env = CloudEnvironment(seed=seed, variability_sigma=0.0, glitches=False)
-    spec = {region: 2 for region in site_regions}
-    spec[cfg.aggregation_region] = 4
-    for region in cfg.standby_regions:
-        spec[region] = 2
-    engine = SageEngine(env, deployment_spec=spec, observer=observer)
-    engine.start(learning_phase=120.0)
-
-    job = StreamJob(
-        name="serve",
-        sites=[
-            SiteSpec(
-                region,
-                [
-                    BurstSource(
-                        f"src-{region}",
-                        base_rate=cfg.base_rate,
-                        burst_rate=cfg.base_rate * 2.0,
-                        burst_start=duration / 3.0,
-                        burst_end=2.0 * duration / 3.0,
-                        keys=["k1", "k2"],
-                    )
-                ],
-            )
-            for region in site_regions
-        ],
-        aggregation_region=cfg.aggregation_region,
-        windows=TumblingWindows(10.0),
-        finalize_grace=120.0,
-        aggregate=builtin_aggregate("count"),
-        flow=flow,
-    )
-    factory = ReliableShipping.factory(
-        SageShipping.factory(n_nodes=2, plan_ttl=30.0),
         delivery_timeout=cfg.delivery_timeout,
         max_retries=cfg.max_retries,
-        max_inflight=flow.max_inflight,
-        max_pending=flow.max_pending,
-        breaker=True,
-        breaker_threshold=flow.breaker_threshold,
-        breaker_reset=flow.breaker_reset,
         retry_budget=cfg.retry_budget or None,
+        per_vm_records_per_s=cfg.base_rate,
+        checkpoint_interval=cfg.checkpoint_interval,
+        control=cfg.control(),
+        standby_regions=cfg.standby_regions,
+        observer=observer,
     )
-    runtime = GeoStreamRuntime(
-        engine, job, factory, per_vm_records_per_s=cfg.base_rate
-    )
-    store = runtime.enable_checkpointing(
-        interval=cfg.checkpoint_interval
-    ).store
+    engine, runtime, plane = run.engine, run.runtime, run.plane
 
-    plane = ControlPlane(engine, runtime, cfg.control())
-    plane.add_leader()
-    for region in cfg.standby_regions:
-        plane.add_standby(region)
-    auditor = SLOAuditor(
-        engine,
-        runtime,
-        max_latency_s=cfg.slo_max_latency_s,
-        max_usd_per_1k=cfg.slo_max_usd_per_1k,
-        control=plane,
-    ).start()
-    plane.auditor = auditor
-    plane.start()
-
-    kill_times = _kill_times(cfg)
     recovery = plane.config.mttr_bound + plane.config.respawn_delay
     plan = FaultPlan()
-    for t in kill_times:
+    for t in _kill_times(cfg):
         plan.kill_leader(t, recovery=recovery)
-    injector = FaultInjector(engine, plan) if len(plan) else None
-
-    t0 = engine.sim.now
-    if injector is not None:
-        injector.arm()  # plan times are relative to arming
+    if len(plan):
+        FaultInjector(engine, plan).arm()  # plan times are relative to arming
     if cfg.reconfigure_at > 0:
         engine.sim.schedule(
             cfg.reconfigure_at,
@@ -300,87 +224,33 @@ def run_serve(
                 "slo_max_latency_s": cfg.slo_max_latency_s,
             },
         )
-    runtime.start()
-    engine.run_until(t0 + duration)
-    for site in runtime.sites.values():
-        site.stop_sources(drain=True)
+    run.start()
+    run.run_until(duration)
     # Outlive the fault plan (last kill + full recovery) before draining.
-    horizon = max(t0 + duration, t0 + plan.horizon())
-    if engine.sim.now < horizon:
-        engine.run_until(horizon)
-    drain_cap = engine.sim.now + 1800.0
-    while runtime.in_pipe() and engine.sim.now < drain_cap:
-        engine.run_until(engine.sim.now + 10.0)
-    drained = runtime.in_pipe() == 0
-    engine.run_until(engine.sim.now + job.watermark_lag + 30.0)
-    runtime.stop()
-    plane.stop()
-    engine.run_until(engine.sim.now + job.finalize_grace + 60.0)
-    engine.env.finalize()
+    drained = run.close(fault_end=run.t0 + plan.horizon())
 
-    audit_report = auditor.finish()
-    cost = engine.ledger.summary(
-        windows=len(runtime.results) or None,
-        records=runtime.records_ingested() or None,
-    )
-    sites = list(runtime.sites.values())
-    backends = [site.shipping for site in sites]
-    agg = runtime.aggregator
     mttr = plane.mttr_stats()
     results_by_epoch: dict[str, int] = {}
     for r in runtime.results:
         key = str(r.epoch)
         results_by_epoch[key] = results_by_epoch.get(key, 0) + 1
     result = ServeResult(
-        seed=seed,
+        seed=cfg.seed,
         policy=cfg.policy,
         duration=duration,
         kills=plane.kills,
-        failovers=len(plane.failovers),
         failover_log=[f.to_dict() for f in plane.failovers],
         mttr_max=mttr["mttr_max"],
         mttr_mean=mttr["mttr_mean"],
         mttr_bound=mttr["mttr_bound"],
-        epochs=plane.lease.epoch,
         config_versions=plane.config_version,
         config_log=list(plane.config_log),
-        standby_syncs=plane.standby_syncs,
         respawns=plane.respawns,
-        ingested=runtime.records_ingested(),
-        counted=runtime.records_in_results(),
-        results=len(runtime.results),
         results_by_epoch=results_by_epoch,
-        admission_rejected=runtime.records_admission_rejected(),
-        shed=runtime.records_shed(),
-        late_dropped=sum(site.aggregator.late_dropped for site in sites),
-        late_partial_records=agg.late_partial_records,
-        abandoned_records=sum(b.records_abandoned for b in backends),
-        duplicates_dropped=agg.duplicates_dropped,
-        retries=sum(b.retries for b in backends),
-        retry_budget_exhausted=sum(
-            getattr(b, "retry_budget_exhausted", 0) for b in backends
-        ),
-        checkpoints=store.saves,
-        checkpoint_bytes=store.size_bytes("aggregator"),
-        aggregator_crashes=runtime.aggregator_crashes,
-        batches_dropped_while_down=runtime.batches_dropped_while_down,
         drained=drained,
-        latency=runtime.latency_stats(),
-        wan_bytes=runtime.wan_bytes(),
-        audit=audit_report.to_dict(),
-        cost=cost.to_dict(),
-        slo_violations=len(audit_report.violations),
-        strict_slo=cfg.strict_slo,
+        **run.tallies(ServeResult),
     )
-    return ScenarioReport(
-        scenario="serve",
-        config=cfg.to_dict(),
-        seed=seed,
-        virtual_seconds=engine.sim.now,
-        wall_seconds=time.perf_counter() - wall0,
-        details=result,
-        metrics=metrics_snapshot(observer),
-    )
+    return run.report(result)
 
 
 __all__ = ["ServeResult", "run_serve"]

@@ -13,29 +13,20 @@ runs with the same seed must produce the same digest, byte for byte.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from hashlib import sha256
 
-from repro.cloud.deployment import CloudEnvironment
 from repro.config import ControlConfig, SoakConfig, resolve_config
-from repro.control.plane import ControlPlane
-from repro.core.engine import SageEngine
 from repro.faults.injector import FaultInjector
-from repro.flow.policy import FlowConfig
 from repro.gen.scenario import ScenarioGenerator
-from repro.obs.audit import SLOAuditor
-from repro.report import ScenarioReport, canonical_json, canonical_value, metrics_snapshot
+from repro.harness import LossAccounting, ScriptedRun
+from repro.report import ScenarioReport, canonical_json, canonical_value
 from repro.simulation.units import format_bytes
-from repro.streaming.dataflow import SiteSpec, StreamJob
-from repro.streaming.operators import builtin_aggregate
-from repro.streaming.runtime import GeoStreamRuntime, LatencyStats
-from repro.streaming.shipping import ReliableShipping, SageShipping
-from repro.streaming.windows import TumblingWindows
+from repro.streaming.runtime import LatencyStats
 
 
 @dataclass
-class SoakResult:
+class SoakResult(LossAccounting):
     """Deterministic outcome of one generated soak (digest-stable)."""
 
     seed: int
@@ -77,24 +68,6 @@ class SoakResult:
     slo_violations: int = 0
     strict_slo: bool = True
     drained: bool = True
-
-    @property
-    def lost(self) -> int:
-        return max(0, self.ingested - self.counted)
-
-    @property
-    def explained(self) -> int:
-        return (
-            self.shed
-            + self.late_dropped
-            + self.late_partial_records
-            + self.abandoned_records
-            + self.admission_rejected
-        )
-
-    @property
-    def accounted(self) -> bool:
-        return self.lost == self.explained
 
     @property
     def clean(self) -> bool:
@@ -238,50 +211,7 @@ class SoakRunner:
     def run(self) -> ScenarioReport:
         cfg = self.config
         scn = self.scenario
-        wall0 = time.perf_counter()
-
-        flow = FlowConfig(
-            policy=cfg.policy,
-            max_backlog=cfg.max_backlog,
-            max_inflight=8,
-            max_pending=None if cfg.policy == "block" else 64,
-            breaker_threshold=3,
-            breaker_reset=20.0,
-        )
-        env = CloudEnvironment(
-            seed=cfg.seed, variability_sigma=0.0, glitches=False
-        )
-        engine = SageEngine(
-            env, deployment_spec=dict(scn.deployment), observer=self.observer
-        )
-        engine.start(learning_phase=120.0)
-
         by_region = scn.traffic.by_region()
-        job = StreamJob(
-            name="soak",
-            sites=[
-                SiteSpec(
-                    region,
-                    [p.build_source() for p in by_region.get(region, [])],
-                )
-                for region in scn.site_regions
-            ],
-            aggregation_region=scn.aggregation_region,
-            windows=TumblingWindows(scn.window_s),
-            aggregate=builtin_aggregate("count"),
-            finalize_grace=120.0,
-            flow=flow,
-        )
-        factory = ReliableShipping.factory(
-            SageShipping.factory(n_nodes=2, plan_ttl=30.0),
-            delivery_timeout=cfg.delivery_timeout,
-            max_retries=cfg.max_retries,
-            max_inflight=flow.max_inflight,
-            max_pending=flow.max_pending,
-            breaker=True,
-            breaker_threshold=flow.breaker_threshold,
-            breaker_reset=flow.breaker_reset,
-        )
         # Site capacity sits at ~2.5× the generated mean: diurnal peaks
         # clear it comfortably, flash crowds exceed it — so overload
         # handling is actually exercised, not idled through.
@@ -292,56 +222,53 @@ class SoakRunner:
                 for region in scn.site_regions
             ),
         )
-        runtime = GeoStreamRuntime(
-            engine, job, factory, per_vm_records_per_s=per_vm
-        )
-        store = None
         # Failover soaks need the exactly-once substrate even when the
         # config left checkpointing off.
         checkpoint_interval = cfg.checkpoint_interval
         if cfg.failovers > 0 and checkpoint_interval <= 0:
             checkpoint_interval = 30.0
-        if checkpoint_interval > 0:
-            store = runtime.enable_checkpointing(
-                interval=checkpoint_interval
-            ).store
-        plane = None
-        if cfg.failovers > 0:
+        run = ScriptedRun(
+            cfg,
+            "soak",
+            scn.deployment,
+            {
+                region: [p.build_source() for p in by_region.get(region, [])]
+                for region in scn.site_regions
+            },
+            scn.aggregation_region,
+            window_s=scn.window_s,
+            policy=cfg.policy,
+            max_backlog=cfg.max_backlog,
+            delivery_timeout=cfg.delivery_timeout,
+            max_retries=cfg.max_retries,
+            per_vm_records_per_s=per_vm,
+            checkpoint_interval=checkpoint_interval,
             # Standbys co-locate with the first two site regions (each
             # has >= 2 VMs; the standby takes the last one), so the
             # generated layout needs no extra regions and a promotion
             # exercises the site->local-aggregator handover path too.
-            plane = ControlPlane(engine, runtime, ControlConfig())
-            plane.add_leader()
-            for region in scn.site_regions[:2]:
-                plane.add_standby(region)
-            plane.start()
-        auditor = SLOAuditor(
-            engine,
-            runtime,
-            max_latency_s=cfg.slo_max_latency_s,
-            max_usd_per_1k=cfg.slo_max_usd_per_1k,
+            control=ControlConfig() if cfg.failovers > 0 else None,
+            standby_regions=tuple(scn.site_regions[:2]),
             check_interval=cfg.check_interval,
             continuous_loss=True,
-            control=plane,
-        ).start()
-        if plane is not None:
-            plane.auditor = auditor
+            observer=self.observer,
+        )
+        engine, runtime, auditor = run.engine, run.runtime, run.auditor
 
         vm_ids = {
             region: [vm.vm_id for vm in engine.deployment.vms(region)]
             for region in scn.site_regions
         }
         plan = self.generator.adversity(scn, vm_ids)
-        if plane is not None:
-            self._schedule_kills(plan, plane)
+        if run.plane is not None:
+            self._schedule_kills(plan, run.plane)
         injector = FaultInjector(engine, plan, observer=self.observer).arm()
 
-        t0 = engine.sim.now
-        runtime.start()
+        run.start()
+        t0 = run.t0
         phase_marks: list[dict] = []
         for i, (_, rel_end) in enumerate(self.phase_bounds()):
-            engine.run_until(t0 + rel_end)
+            run.run_until(rel_end)
             phase_marks.append(
                 {
                     "phase": i,
@@ -350,29 +277,10 @@ class SoakRunner:
                 }
             )
 
-        # Quiet the sources (drain the deferred tail), outlive the last
-        # windowed fault, then drain to true quiescence — the terminal
-        # loss identity is only meaningful over an empty pipe.
-        for site in runtime.sites.values():
-            site.stop_sources(drain=True)
-        fault_end = t0 + plan.horizon() + 60.0
-        if engine.sim.now < fault_end:
-            engine.run_until(fault_end)
-        drain_cap = engine.sim.now + 3600.0
-        while runtime.in_pipe() and engine.sim.now < drain_cap:
-            engine.run_until(engine.sim.now + 10.0)
-        drained = runtime.in_pipe() == 0
-        engine.run_until(engine.sim.now + job.watermark_lag + 30.0)
-        runtime.stop()
-        if plane is not None:
-            plane.stop()
-        engine.run_until(engine.sim.now + job.finalize_grace + 60.0)
-        engine.env.finalize()
-
-        audit_report = auditor.finish(quiescent=True)
-        cost = engine.ledger.summary(
-            windows=len(runtime.results) or None,
-            records=runtime.records_ingested() or None,
+        # Outlive the last windowed fault, then drain to true quiescence:
+        # the terminal loss identity is only meaningful over an empty pipe.
+        drained = run.close(
+            fault_end=t0 + plan.horizon() + 60.0, drain_cap=3600.0
         )
 
         all_results = runtime.results
@@ -402,10 +310,7 @@ class SoakRunner:
                 }
             )
 
-        sites = list(runtime.sites.values())
-        backends = [site.shipping for site in sites]
-        sources = [src for site in sites for src in site.spec.sources]
-        agg = runtime.aggregator
+        plane = run.plane
         result = SoakResult(
             seed=cfg.seed,
             profile=cfg.profile,
@@ -413,49 +318,17 @@ class SoakRunner:
             scenario=scn.summary(),
             fault_counts=_fault_counts(injector),
             faults_applied=len(injector.log),
-            sources=len(sources),
-            ingested=runtime.records_ingested(),
-            counted=runtime.records_in_results(),
-            results=len(all_results),
-            shed=runtime.records_shed(),
-            late_dropped=sum(s.aggregator.late_dropped for s in sites),
-            late_partial_records=agg.late_partial_records,
-            abandoned_records=sum(b.records_abandoned for b in backends),
-            duplicates_dropped=agg.duplicates_dropped,
-            retries=sum(b.retries for b in backends),
-            failovers=len(plane.failovers) if plane is not None else 0,
+            sources=sum(len(site.spec.sources) for site in runtime.sites.values()),
             failover_mttr_max=(
                 plane.mttr_stats()["mttr_max"] if plane is not None else 0.0
             ),
-            epochs=plane.lease.epoch if plane is not None else 0,
-            standby_syncs=plane.standby_syncs if plane is not None else 0,
-            admission_rejected=runtime.records_admission_rejected(),
-            retry_budget_exhausted=sum(
-                getattr(b, "retry_budget_exhausted", 0) for b in backends
-            ),
-            backlog_peaks={s.spec.region: s.max_backlog for s in sites},
-            max_deferred=sum(src.max_deferred for src in sources),
-            checkpoints=store.saves if store is not None else 0,
-            latency=runtime.latency_stats(),
             lineage=runtime.lineage_stats(),
             phases=phases,
-            wan_bytes=runtime.wan_bytes(),
-            audit=audit_report.to_dict(),
-            cost=cost.to_dict(),
-            usd_per_1k=cost.usd_per_1k_records,
-            slo_violations=len(audit_report.violations),
-            strict_slo=cfg.strict_slo,
+            usd_per_1k=run.cost.usd_per_1k_records,
             drained=drained,
+            **run.tallies(SoakResult),
         )
-        return ScenarioReport(
-            scenario="soak",
-            config=cfg.to_dict(),
-            seed=cfg.seed,
-            virtual_seconds=engine.sim.now,
-            wall_seconds=time.perf_counter() - wall0,
-            details=result,
-            metrics=metrics_snapshot(self.observer),
-        )
+        return run.report(result)
 
 
 def _fault_counts(injector: FaultInjector) -> dict[str, int]:
@@ -469,7 +342,6 @@ def run_soak(
     config: SoakConfig | dict | None = None,
     *,
     observer=None,
-    **legacy,
 ) -> ScenarioReport:
     """Generate a scenario from the seed and soak it (virtual time).
 
@@ -479,11 +351,7 @@ def run_soak(
     :class:`SoakResult` — ``report.digest`` is the reproducibility
     handle.
     """
-    cfg = resolve_config(
-        SoakConfig, config, legacy,
-        "run_soak(seed=..., hours=..., ...)",
-        "run_soak(SoakConfig(...))",
-    )
+    cfg = resolve_config(SoakConfig, config)
     return SoakRunner(cfg, observer=observer).run()
 
 

@@ -40,8 +40,11 @@ def test_capacity_appears_after_saturating_load(engine):
     # ...saturating the link does (a naive 10-route plan over-subscribes
     # it; the decision manager itself avoids doing so on purpose).
     from repro.baselines import StaticParallel
+    from repro.config import ParallelStaticConfig
 
-    StaticParallel(n_nodes=10, streams=8).run(engine, "NEU", "NUS", 2 * GB)
+    StaticParallel(ParallelStaticConfig(n_nodes=10, streams=8)).run(
+        engine, "NEU", "NUS", 2 * GB
+    )
     sla = link_sla(engine.monitor, "NEU", "NUS")
     assert sla.capacity is not None
     assert sla.capacity > 5 * MB

@@ -1,4 +1,4 @@
-"""Config dataclasses, deprecation shims, and the ScenarioReport surface."""
+"""Config dataclasses, the config-object call path, and the ScenarioReport surface."""
 
 from __future__ import annotations
 
@@ -7,14 +7,7 @@ import warnings
 
 import pytest
 
-from repro.baselines.blob_relay import BlobRelay
 from repro.baselines.direct import EndPoint2EndPoint
-from repro.baselines.gridftp import GridFtpLike
-from repro.baselines.parallel_static import StaticParallel
-from repro.baselines.shortest_path import (
-    DynamicShortestPath,
-    StaticShortestPath,
-)
 from repro.config import (
     BlobRelayConfig,
     ChaosConfig,
@@ -25,12 +18,10 @@ from repro.config import (
     ShortestPathConfig,
 )
 from repro.faults.plan import FaultPlan
-from repro.faults.scenario import run_chaos
 from repro.flow.scenario import run_overload
 from repro.report import ScenarioReport, canonical_json
 
 FAST_OVERLOAD = dict(duration=60.0, crash_at=40.0, burst_window=(20.0, 30.0))
-FAST_CHAOS = dict(duration=60.0)
 
 
 # ----------------------------------------------------------------------
@@ -72,6 +63,12 @@ def test_invalid_values_rejected():
         ChaosConfig(duration=-1.0)
     with pytest.raises(ValueError):
         OverloadConfig(burst_factor=0.5)
+    with pytest.raises(ValueError, match="restart_after"):
+        OverloadConfig(restart_after=-1.0, crash_at=40.0)
+    with pytest.raises(ValueError, match="crash_at"):
+        OverloadConfig(crash_at=-5.0)
+    with pytest.raises(ValueError, match="checkpoint_interval"):
+        OverloadConfig(checkpoint_interval=0.0)
     with pytest.raises(ValueError):
         DirectConfig(streams=0)
 
@@ -84,49 +81,8 @@ def test_fault_plan_dict_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# Deprecated call paths: warn, but produce identical results
+# Config objects are the only call path
 # ----------------------------------------------------------------------
-def test_run_overload_legacy_kwargs_warn_and_match():
-    with pytest.deprecated_call():
-        legacy = run_overload(policy="shed", seed=99, **FAST_OVERLOAD)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        cfg = OverloadConfig(policy="shed", seed=99, **FAST_OVERLOAD)
-        modern = run_overload(cfg)
-    assert legacy.canonical_json() == modern.canonical_json()
-
-
-def test_run_chaos_legacy_kwargs_warn_and_match():
-    with pytest.deprecated_call():
-        legacy = run_chaos(seed=7, inject=False, **FAST_CHAOS)
-    cfg = ChaosConfig(seed=7, inject=False, **FAST_CHAOS)
-    modern = run_chaos(cfg)
-    assert legacy.canonical_json() == modern.canonical_json()
-
-
-def test_run_chaos_positional_seed_still_accepted():
-    with pytest.deprecated_call():
-        report = run_chaos(11, duration=60.0, inject=False)
-    assert report.seed == 11
-
-
-@pytest.mark.parametrize(
-    ("cls", "legacy_kwargs", "attr", "expected"),
-    [
-        (EndPoint2EndPoint, {"streams": 3}, "streams", 3),
-        (StaticParallel, {"n_nodes": 2}, "n_nodes", 2),
-        (StaticShortestPath, {"max_hops": 2}, "max_hops", 2),
-        (DynamicShortestPath, {"replan_interval": 5.0}, "replan_interval", 5.0),
-        (BlobRelay, {"parallel_objects": 3}, "parallel_objects", 3),
-        (GridFtpLike, {"endpoints": 3}, "endpoints", 3),
-    ],
-)
-def test_baseline_legacy_kwargs_warn(cls, legacy_kwargs, attr, expected):
-    with pytest.deprecated_call():
-        baseline = cls(**legacy_kwargs)
-    assert getattr(baseline, attr) == expected
-
-
 def test_baseline_config_path_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
