@@ -45,6 +45,9 @@ DURATION = 120.0
 #: against (repo root; see ROADMAP item 1).
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_perf_baseline.json"
 MIN_SPEEDUP = 10.0
+#: Runs per gate measurement. One ~85 ms run swung 8-12x against the
+#: baseline on an idle machine; the gate reads the median run instead.
+REPS = 5
 
 EXPECTED_STAGES = {
     "sim.loop",
@@ -78,10 +81,22 @@ def run_baseline():
     return obs.profiler.snapshot(wall_seconds=wall), processed
 
 
+def _records_per_s(run) -> float:
+    profile, _ = run
+    records = profile["meters"].get("records", {}).get("count", 0.0)
+    return records / profile["wall_seconds"]
+
+
+def run_median():
+    """The median-throughput run of :data:`REPS` fresh runs."""
+    runs = sorted((run_baseline() for _ in range(REPS)), key=_records_per_s)
+    return runs[REPS // 2]
+
+
 @pytest.mark.benchmark(group="perf")
 def test_perf_baseline(benchmark, report, bench_dir):
     profile, processed = benchmark.pedantic(
-        run_baseline, rounds=1, iterations=1
+        run_median, rounds=1, iterations=1
     )
     stages = profile["stages"]
     meters = profile["meters"]

@@ -105,10 +105,10 @@ class SourceProgram:
         shape = self.shape
         return ScheduleSource(
             name=self.name,
-            rate_fn=self.rates.at,
+            rates=self.rates,
             keys=shape.keys(self.n_keys),
             key_weights=shape.key_weights(self.n_keys),
-            bytes_fn=self.sizes.at,
+            sizes=self.sizes,
             record_bytes=shape.record_bytes,
             tick=tick,
             integrate_step=min(30.0, max(1.0, self.rates.resolution / 2.0)),

@@ -151,6 +151,16 @@ class AggregateFn:
     two partial states; ``result`` finalises. The merge must be
     associative and commutative — the property-based tests verify this for
     the built-ins.
+
+    ``columns`` lays the state out for the windowed aggregator's tables,
+    beside their int64 count column, as ``(ufunc, identity)`` pairs. A
+    ufunc column folds a whole batch with ``ufunc.at``, which applies
+    values unbuffered in index order: exactly the left-to-right ``add``
+    chain. A ``None`` ufunc marks a column only a per-element ``add``
+    writes (``var``); a ``None`` identity makes an object column, which
+    by default holds a custom aggregate's state verbatim.
+    ``pack(count, column values)`` rebuilds the state; ``unpack(state)``
+    splits it back into column values.
     """
 
     name: str
@@ -158,36 +168,26 @@ class AggregateFn:
     add: Callable[[Any, Any], Any]
     merge: Callable[[Any, Any], Any]
     result: Callable[[Any], Any]
-    #: Optional vectorized fold: ``fold_batch(state, values)`` folds a
-    #: float64 array of raw values into a partial state, **bit-identical**
-    #: to applying ``add`` left-to-right over the array. Aggregates
-    #: without an exactly-equivalent vectorized form (``var``) leave
-    #: this ``None`` and the columnar plane falls back to per-element
-    #: ``add``.
-    fold_batch: Callable[[Any, np.ndarray], Any] | None = None
-
-
-def _seq_sum(state: float, values: np.ndarray) -> float:
-    # np.add.accumulate is a strictly sequential left-to-right fold
-    # (unlike the pairwise np.add.reduce), so seeding it with the prior
-    # state reproduces the scalar add-chain bit for bit.
-    buf = np.empty(values.size + 1, dtype=np.float64)
-    buf[0] = state
-    buf[1:] = values
-    np.add.accumulate(buf, out=buf)
-    return float(buf[-1])
+    columns: tuple[tuple[np.ufunc | None, float | None], ...] = (
+        (None, None),
+    )
+    pack: Callable[[int, tuple], Any] = lambda n, cols: cols[0]
+    unpack: Callable[[Any], tuple] = lambda state: (state,)
 
 
 def builtin_aggregate(name: str) -> AggregateFn:
     """Built-in aggregates: count, sum, mean, min, max, var."""
     if name == "count":
+        # The count column is the whole state.
         return AggregateFn(
             "count",
             zero=lambda: 0,
             add=lambda s, v: s + 1,
             merge=lambda a, b: a + b,
             result=lambda s: s,
-            fold_batch=lambda s, v: s + v.size,
+            columns=(),
+            pack=lambda n, cols: n,
+            unpack=lambda s: (),
         )
     if name == "sum":
         return AggregateFn(
@@ -196,7 +196,7 @@ def builtin_aggregate(name: str) -> AggregateFn:
             add=lambda s, v: s + float(v),
             merge=lambda a, b: a + b,
             result=lambda s: s,
-            fold_batch=_seq_sum,
+            columns=((np.add, 0.0),),
         )
     if name == "min":
         return AggregateFn(
@@ -205,7 +205,7 @@ def builtin_aggregate(name: str) -> AggregateFn:
             add=lambda s, v: min(s, float(v)),
             merge=min,
             result=lambda s: s,
-            fold_batch=lambda s, v: float(np.minimum.reduce(v, initial=s)),
+            columns=((np.minimum, math.inf),),
         )
     if name == "max":
         return AggregateFn(
@@ -214,31 +214,36 @@ def builtin_aggregate(name: str) -> AggregateFn:
             add=lambda s, v: max(s, float(v)),
             merge=max,
             result=lambda s: s,
-            fold_batch=lambda s, v: float(np.maximum.reduce(v, initial=s)),
+            columns=((np.maximum, -math.inf),),
         )
     if name == "mean":
-        # Partial state: (count, sum).
+        # Partial state: (count, sum); the count is the table's.
         return AggregateFn(
             "mean",
             zero=lambda: (0, 0.0),
             add=lambda s, v: (s[0] + 1, s[1] + float(v)),
             merge=lambda a, b: (a[0] + b[0], a[1] + b[1]),
             result=lambda s: s[1] / s[0] if s[0] else float("nan"),
-            fold_batch=lambda s, v: (s[0] + v.size, _seq_sum(s[1], v)),
+            columns=((np.add, 0.0),),
+            pack=lambda n, cols: (n, cols[0]),
+            unpack=lambda s: (s[1],),
         )
     if name == "var":
         # Partial state: (count, mean, M2) — population variance via the
         # Welford/Chan update. The naive (count, sum, sum-of-squares)
         # state cancels catastrophically when the mean is large relative
         # to the spread, so merged and sequential results diverged.
-        # The Welford chain has no bit-exact vectorized form, so no
-        # fold_batch: the columnar plane folds var per element.
+        # The Welford chain has no bit-exact ufunc form, so its columns
+        # carry no ufunc and the aggregator folds var per element.
         return AggregateFn(
             "var",
             zero=lambda: (0, 0.0, 0.0),
             add=_var_add,
             merge=_var_merge,
             result=lambda s: s[2] / s[0] if s[0] else float("nan"),
+            columns=((None, 0.0), (None, 0.0)),
+            pack=lambda n, cols: (n, cols[0], cols[1]),
+            unpack=lambda s: (s[1], s[2]),
         )
     raise ValueError(f"unknown aggregate {name!r}")
 
@@ -275,6 +280,46 @@ class PartialAggregate:
     count: int
 
 
+#: Bound on the per-operator cache of key-table remaps. A site sees one
+#: key table per source, so this only spills when tables are per-batch
+#: (trace replay, re-columnarized record lists).
+_REMAP_CACHE = 1024
+
+
+class _WindowTable:
+    """Open state of one window.
+
+    Row ``j`` belongs to the aggregator's key id ``j``: ``count`` is
+    int64 and ``cols`` are the aggregate's state columns. A row whose
+    count is 0 is a key this window has not seen.
+    """
+
+    __slots__ = ("window", "count", "cols")
+
+    def __init__(self, window: Window, columns, size: int) -> None:
+        self.window = window
+        self.count = np.zeros(size, dtype=np.int64)
+        self.cols = [
+            np.full(
+                size,
+                identity,
+                dtype=object if identity is None else np.float64,
+            )
+            for _, identity in columns
+        ]
+
+    def grow(self, size: int, columns) -> None:
+        fresh = _WindowTable(self.window, columns, size - self.count.size)
+        self.count = np.concatenate((self.count, fresh.count))
+        self.cols = [
+            np.concatenate(pair) for pair in zip(self.cols, fresh.cols)
+        ]
+
+
+def _by_window(tables) -> list[_WindowTable]:
+    return sorted(tables, key=lambda table: table.window)
+
+
 class WindowedAggregator:
     """Keyed, windowed aggregation producing mergeable partials.
 
@@ -283,6 +328,11 @@ class WindowedAggregator:
     partial records are emitted. Late records beyond lateness are counted
     and dropped — the global aggregator must never block on a straggler
     site's slow clock.
+
+    Open state is one :class:`_WindowTable` per window start, its rows
+    indexed by key ids the operator interns on first sight. Every path
+    writes the same tables, and emission walks them in (window, key)
+    order.
     """
 
     def __init__(
@@ -296,11 +346,64 @@ class WindowedAggregator:
         self.aggregate = aggregate
         self.allowed_lateness = allowed_lateness
         self.partial_record_bytes = partial_record_bytes
-        self._state: dict[tuple[Window, str], Any] = {}
-        self._counts: dict[tuple[Window, str], int] = {}
+        self._tables: dict[float, _WindowTable] = {}
+        self._key_ids: dict[str, int] = {}
+        self._key_names: list[str] = []
+        #: ``id(batch.keys)`` -> (keys, key-id remap). Holding the tuple
+        #: keeps its id from being reused while the entry lives.
+        self._remaps: dict[int, tuple[tuple[str, ...], np.ndarray]] = {}
+        self._ufunc_fold = isinstance(windows, TumblingWindows) and all(
+            ufunc is not None for ufunc, _ in aggregate.columns
+        )
         self.records_seen = 0
         self.late_dropped = 0
         self._watermark = -math.inf
+
+    def _intern(self, key: str) -> int:
+        j = self._key_ids.get(key)
+        if j is None:
+            j = self._key_ids[key] = len(self._key_names)
+            self._key_names.append(key)
+        return j
+
+    def _remap(self, keys: tuple[str, ...]) -> np.ndarray:
+        hit = self._remaps.get(id(keys))
+        if hit is not None and hit[0] is keys:
+            return hit[1]
+        if len(self._remaps) >= _REMAP_CACHE:
+            self._remaps.clear()
+        remap = np.fromiter(map(self._intern, keys), np.int64, len(keys))
+        self._remaps[id(keys)] = (keys, remap)
+        return remap
+
+    def _table(self, start: float, end: float) -> _WindowTable:
+        """The open table of window ``[start, end)``, sized to every
+        interned key (intern before calling)."""
+        table = self._tables.get(start)
+        n_keys = len(self._key_names)
+        if table is None:
+            table = self._tables[start] = _WindowTable(
+                Window(start, end), self.aggregate.columns, n_keys
+            )
+        elif table.count.size < n_keys:
+            table.grow(
+                max(n_keys, 2 * table.count.size), self.aggregate.columns
+            )
+        return table
+
+    def _add(self, table: _WindowTable, j: int, value) -> None:
+        # One scalar ``add`` on row j: the reference semantics every
+        # vectorized fold must reproduce.
+        agg = self.aggregate
+        n = table.count.item(j)
+        state = (
+            agg.pack(n, tuple(col.item(j) for col in table.cols))
+            if n
+            else agg.zero()
+        )
+        for col, v in zip(table.cols, agg.unpack(agg.add(state, value))):
+            col[j] = v
+        table.count[j] = n + 1
 
     def process(self, record: Record) -> list[Record]:
         """Fold a record in; emits nothing (emission is watermark-driven)."""
@@ -308,24 +411,19 @@ class WindowedAggregator:
         if record.event_time + self.allowed_lateness < self._watermark:
             self.late_dropped += 1
             return []
+        j = self._intern(record.key)
         for window in self.windows.assign(record.event_time):
-            slot = (window, record.key)
-            state = self._state.get(slot)
-            if state is None:
-                state = self.aggregate.zero()
-            self._state[slot] = self.aggregate.add(state, record.value)
-            self._counts[slot] = self._counts.get(slot, 0) + 1
+            self._add(self._table(window.start, window.end), j, record.value)
         return []
 
     def process_batch(self, batch: RecordBatch) -> RecordBatch:
         """Fold a whole batch in; emits nothing (emission is watermark-driven).
 
-        The fast path — tumbling windows, float64 values, and an
-        aggregate with a ``fold_batch`` — groups the batch by (window,
-        key) with one stable lexsort and folds each contiguous group in
-        a single vectorized call. Everything else (sliding windows,
-        object payloads, ``var``, custom aggregates) takes a per-record
-        loop with semantics identical to :meth:`process`.
+        With tumbling windows, float64 values and an aggregate whose
+        columns all carry a ufunc, the batch folds with one ``ufunc.at``
+        per column and window. Everything else (sliding windows, object
+        payloads, ``var``, custom aggregates) goes through :meth:`_add`
+        record by record, exactly like :meth:`process`.
         """
         n = len(batch)
         if not n:
@@ -339,71 +437,47 @@ class WindowedAggregator:
                 if not n_keep:
                     return RecordBatch.empty(batch.origin)
                 batch = batch.where(keep)
-        fold = self.aggregate.fold_batch
-        if (
-            fold is not None
-            and isinstance(self.windows, TumblingWindows)
-            and batch.value.dtype != object
-        ):
-            self._fold_tumbling(batch, fold)
+        ids = self._remap(batch.keys)[batch.key_idx]
+        values = batch.value
+        if self._ufunc_fold and values.dtype != object:
+            starts = self.windows.assign_starts(batch.t)
+            first = starts[0]
+            if (starts == first).all():
+                self._fold(first.item(), ids, values)
+            else:
+                for start in np.unique(starts).tolist():
+                    mask = starts == start
+                    self._fold(start, ids[mask], values[mask])
         else:
-            self._fold_slow(batch)
+            assign = self.windows.assign
+            for t, j, value in zip(
+                batch.t.tolist(),
+                ids.tolist(),
+                values if values.dtype == object else values.tolist(),
+            ):
+                for window in assign(t):
+                    self._add(self._table(window.start, window.end), j, value)
         return RecordBatch.empty(batch.origin)
 
-    def _fold_tumbling(self, batch: RecordBatch, fold) -> None:
-        starts = self.windows.assign_starts(batch.t)
-        # Stable sort: within one (window, key) group, values keep their
-        # arrival order, so sequential folds match the legacy plane's
-        # interleaved per-record adds exactly.
-        order = np.lexsort((batch.key_idx, starts))
-        starts = starts[order]
-        key_idx = batch.key_idx[order]
-        values = batch.value[order]
-        boundary = np.empty(len(starts), dtype=bool)
-        boundary[0] = True
-        np.not_equal(starts[1:], starts[:-1], out=boundary[1:])
-        boundary[1:] |= key_idx[1:] != key_idx[:-1]
-        group_starts = np.flatnonzero(boundary)
-        group_ends = np.append(group_starts[1:], len(starts))
-        length = self.windows.length
-        keys = batch.keys
-        state_map = self._state
-        counts = self._counts
-        zero = self.aggregate.zero
-        for lo, hi in zip(group_starts, group_ends):
-            lo = int(lo)
-            hi = int(hi)
-            start = starts[lo].item()
-            slot = (Window(start, start + length), keys[key_idx[lo]])
-            state = state_map.get(slot)
-            if state is None:
-                state = zero()
-            state_map[slot] = fold(state, values[lo:hi])
-            counts[slot] = counts.get(slot, 0) + (hi - lo)
+    def _fold(self, start: float, ids: np.ndarray, values: np.ndarray) -> None:
+        # ufunc.at is unbuffered and applies values in index order, so
+        # each row sees the same left-to-right chain as repeated add.
+        table = self._table(start, start + self.windows.length)
+        np.add.at(table.count, ids, 1)
+        for (ufunc, _), col in zip(self.aggregate.columns, table.cols):
+            ufunc.at(col, ids, values)
 
-    def _fold_slow(self, batch: RecordBatch) -> None:
-        # Exact replica of the per-record fold for shapes the vectorized
-        # path cannot serve bit-identically.
-        add = self.aggregate.add
-        zero = self.aggregate.zero
-        assign = self.windows.assign
-        t = batch.t
-        key_idx = batch.key_idx
-        keys = batch.keys
-        values = batch.value
-        is_obj = values.dtype == object
-        state_map = self._state
-        counts = self._counts
-        for i in range(len(batch)):
-            key = keys[key_idx[i]]
-            value = values[i] if is_obj else values[i].item()
-            for window in assign(t[i].item()):
-                slot = (window, key)
-                state = state_map.get(slot)
-                if state is None:
-                    state = zero()
-                state_map[slot] = add(state, value)
-                counts[slot] = counts.get(slot, 0) + 1
+    def _rows(self, table: _WindowTable):
+        """``(key, state, count)`` of every key the window saw, by key."""
+        names = self._key_names
+        ids = sorted(
+            np.flatnonzero(table.count).tolist(), key=names.__getitem__
+        )
+        counts = table.count[ids].tolist()
+        cols = [col[ids].tolist() for col in table.cols]
+        pack = self.aggregate.pack
+        for j, n, *vals in zip(ids, counts, *cols):
+            yield names[j], pack(n, tuple(vals)), n
 
     def advance_watermark(self, watermark: float) -> list[Record]:
         """Close all windows ending before the watermark; emit partials."""
@@ -412,35 +486,35 @@ class WindowedAggregator:
         self._watermark = watermark
         out: list[Record] = []
         closed = [
-            slot
-            for slot in self._state
-            if slot[0].end + self.allowed_lateness <= watermark
+            table
+            for table in self._tables.values()
+            if table.window.end + self.allowed_lateness <= watermark
         ]
-        for slot in sorted(closed, key=lambda s: (s[0], s[1])):
-            window, key = slot
-            state = self._state.pop(slot)
-            count = self._counts.pop(slot)
-            out.append(
-                Record(
-                    event_time=window.end,
-                    key=key,
-                    value=PartialAggregate(window, key, state, count),
-                    size_bytes=self.partial_record_bytes,
+        for table in _by_window(closed):
+            window = table.window
+            del self._tables[window.start]
+            for key, state, count in self._rows(table):
+                out.append(
+                    Record(
+                        event_time=window.end,
+                        key=key,
+                        value=PartialAggregate(window, key, state, count),
+                        size_bytes=self.partial_record_bytes,
+                    )
                 )
-            )
         return out
 
     @property
     def open_windows(self) -> int:
-        return len({w for w, _ in self._state})
+        return len(self._tables)
 
     # -- checkpoint/restore --------------------------------------------
     def snapshot(self) -> dict:
         """JSON-serializable view of all open window state.
 
-        Aggregate states are stored verbatim; the built-in aggregates use
-        scalars and tuples, and tuples survive a JSON round trip as lists
-        whose element access the add/merge closures are agnostic to.
+        Aggregate states are the same scalars and tuples the partials
+        carry; tuples survive a JSON round trip as lists, which
+        :meth:`restore` reads back through the aggregate's ``unpack``.
         """
         return {
             "watermark": (
@@ -449,11 +523,9 @@ class WindowedAggregator:
             "records_seen": self.records_seen,
             "late_dropped": self.late_dropped,
             "slots": [
-                [w.start, w.end, key, self._state[(w, key)],
-                 self._counts[(w, key)]]
-                for (w, key) in sorted(
-                    self._state, key=lambda s: (s[0], s[1])
-                )
+                [table.window.start, table.window.end, key, state, count]
+                for table in _by_window(self._tables.values())
+                for key, state, count in self._rows(table)
             ],
         }
 
@@ -463,9 +535,14 @@ class WindowedAggregator:
         self._watermark = -math.inf if wm is None else wm
         self.records_seen = payload["records_seen"]
         self.late_dropped = payload["late_dropped"]
-        self._state = {}
-        self._counts = {}
+        self._tables = {}
+        self._key_ids = {}
+        self._key_names = []
+        self._remaps = {}
+        unpack = self.aggregate.unpack
         for start, end, key, state, count in payload["slots"]:
-            slot = (Window(start, end), key)
-            self._state[slot] = state
-            self._counts[slot] = count
+            j = self._intern(key)
+            table = self._table(start, end)
+            table.count[j] = count
+            for col, v in zip(table.cols, unpack(state)):
+                col[j] = v

@@ -5,9 +5,10 @@ parallel numpy columns — event time ``t``, ``key_idx`` (indices into a
 shared per-batch key table), ``value``, and ``size`` — plus the batch's
 ``origin`` site. Sources emit one batch per tick, operators transform
 whole batches (vectorized where possible), and the windowed aggregator
-folds grouped slices — so the per-record Python-object cost of the
-legacy plane (one ``Record`` instance, one dict lookup, one method call
-per record) collapses into a handful of array operations per chunk.
+folds each batch into per-window key tables — so the per-record
+Python-object cost of the legacy plane (one ``Record`` instance, one
+dict lookup, one method call per record) collapses into a handful of
+array operations per chunk.
 
 Semantics are pinned to the per-record plane: a batch is *defined* as
 equivalent to the ordered list ``batch.to_records()``, and every

@@ -26,13 +26,16 @@ class; it appears in no digest-pinned scenario).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from repro.simulation.engine import PeriodicTask, Simulator
 from repro.streaming.events import Record
 from repro.streaming.records import RecordBatch
+
+if TYPE_CHECKING:  # repro.gen.traffic imports this module
+    from repro.gen.traffic import RateSchedule
 
 
 class StreamSource:
@@ -600,29 +603,33 @@ class TraceSource(StreamSource):
 
 
 class ScheduleSource(StreamSource):
-    """Poisson arrivals driven by an arbitrary rate program.
+    """Poisson arrivals driven by a rendered rate program.
 
-    ``rate_fn(t)`` gives the instantaneous arrival rate at time ``t``
-    *relative to the source's first tick* (the same convention
-    :class:`BurstSource` and fault plans use, so a generated schedule
-    means the same thing regardless of engine warm-up length).
-    ``bytes_fn(t)``, when given, sizes records by the same clock —
-    generated scenarios use it for slow drift in record sizes. Optional
+    ``rates`` is a :class:`~repro.gen.traffic.RateSchedule` giving the
+    arrival rate at time ``t`` *relative to the source's first tick*
+    (the same convention :class:`BurstSource` and fault plans use, so a
+    generated schedule means the same thing regardless of engine
+    warm-up length). ``sizes``, when given, is a second schedule on the
+    same clock that sizes records (at least 1 byte each) — generated
+    scenarios use it for slow drift in record sizes. Optional
     ``key_weights`` skew the key distribution (e.g. zipf-like page
     popularity) instead of the uniform pick of :class:`PoissonSource`.
 
     The rate is integrated over each tick with a small fixed-step
     midpoint rule so ticks straddling a flash-crowd edge draw the right
-    expected count without the schedule having to be piecewise-constant.
+    expected count. Record sizes are looked up for a whole tick at once,
+    and weighted keys are drawn from a cached CDF — the algorithm
+    ``Generator.choice(p=...)`` runs, so the draws and the generator
+    state after them are the same.
     """
 
     def __init__(
         self,
         name: str,
-        rate_fn: Callable[[float], float],
+        rates: RateSchedule,
         keys: list[str] | None = None,
         key_weights: list[float] | None = None,
-        bytes_fn: Callable[[float], float] | None = None,
+        sizes: RateSchedule | None = None,
         tick: float = 1.0,
         record_bytes: float = 200.0,
         integrate_step: float = 1.0,
@@ -639,20 +646,23 @@ class ScheduleSource(StreamSource):
         )
         if integrate_step <= 0:
             raise ValueError("integrate_step must be positive")
-        self.rate_fn = rate_fn
+        self.rates = rates
         self.keys = keys or ["k0"]
+        self._key_cdf: np.ndarray | None = None
         if key_weights is not None:
             if len(key_weights) != len(self.keys):
                 raise ValueError("key_weights must match keys in length")
             if any(w < 0 for w in key_weights) or sum(key_weights) <= 0:
                 raise ValueError("key_weights must be non-negative, sum > 0")
-            total = float(sum(key_weights))
-            self._key_p: np.ndarray | None = (
-                np.asarray(key_weights, dtype=float) / total
-            )
-        else:
-            self._key_p = None
-        self.bytes_fn = bytes_fn
+            p = np.asarray(key_weights, dtype=float) / float(sum(key_weights))
+            self._key_cdf = p.cumsum()
+            self._key_cdf /= self._key_cdf[-1]
+        self.sizes = sizes
+        self._size_values = (
+            None
+            if sizes is None
+            else np.asarray(sizes.values, dtype=np.float64)
+        )
         self.integrate_step = integrate_step
         self._origin_time: float | None = None
         self._key_table: tuple[str, ...] | None = None
@@ -660,7 +670,7 @@ class ScheduleSource(StreamSource):
     def rate_at(self, t: float) -> float:
         """Arrival rate at virtual time ``t`` (after the source started)."""
         origin = self._origin_time if self._origin_time is not None else 0.0
-        return max(0.0, float(self.rate_fn(t - origin)))
+        return max(0.0, float(self.rates.at(t - origin)))
 
     def _mean_count(self, t0: float, t1: float) -> float:
         assert self._origin_time is not None
@@ -672,25 +682,39 @@ class ScheduleSource(StreamSource):
             t += step
         return total
 
-    def _emit_tick(self, t0: float, t1: float) -> list[Record]:
+    def _draw(self, t0: float, t1: float):
+        """``(rng, sorted event times, key indices)`` of this tick, or
+        ``None`` when it is empty; the caller draws the values next."""
         rng = self._rng()
         if self._origin_time is None:
             self._origin_time = t0
         mean = self._mean_count(t0, t1)
-        n = rng.poisson(mean) if mean > 0 else 0
+        n = int(rng.poisson(mean)) if mean > 0 else 0
         if n == 0:
-            return []
+            return None
         times = np.sort(rng.uniform(t0, t1, n))
-        if self._key_p is not None:
-            key_idx = rng.choice(len(self.keys), size=n, p=self._key_p)
+        if self._key_cdf is not None:
+            key_idx = self._key_cdf.searchsorted(rng.random(n), side="right")
         else:
             key_idx = rng.integers(0, len(self.keys), n)
-        origin_t = self._origin_time
-        if self.bytes_fn is not None:
-            sizes = [
-                max(1.0, float(self.bytes_fn(float(times[i]) - origin_t)))
-                for i in range(n)
-            ]
+        return rng, times, key_idx
+
+    def _record_sizes(self, times: np.ndarray) -> np.ndarray:
+        # RateSchedule.at, vectorized: grid index, clamped to the
+        # program (take's clip mode), so a source that outlives it keeps
+        # the last size.
+        idx = np.floor_divide(times - self._origin_time, self.sizes.resolution)
+        sizes = self._size_values.take(idx.astype(np.intp), mode="clip")
+        return np.maximum(sizes, 1.0)
+
+    def _emit_tick(self, t0: float, t1: float) -> list[Record]:
+        drawn = self._draw(t0, t1)
+        if drawn is None:
+            return []
+        rng, times, key_idx = drawn
+        n = len(times)
+        if self.sizes is not None:
+            sizes = self._record_sizes(times).tolist()
         else:
             sizes = [self.record_bytes] * n
         return [
@@ -705,37 +729,17 @@ class ScheduleSource(StreamSource):
         ]
 
     def _emit_tick_batch(self, t0: float, t1: float) -> RecordBatch:
-        # Same RNG order as _emit_tick: poisson, uniform(n),
-        # choice/integers(n), normal(n) — bytes_fn draws nothing.
-        rng = self._rng()
-        if self._origin_time is None:
-            self._origin_time = t0
-        mean = self._mean_count(t0, t1)
-        n = int(rng.poisson(mean)) if mean > 0 else 0
-        if n == 0:
+        # Same RNG order as _emit_tick: poisson, uniform(n), keys(n),
+        # normal(n); size lookups draw nothing.
+        drawn = self._draw(t0, t1)
+        if drawn is None:
             return RecordBatch.empty(self.origin)
-        times = np.sort(rng.uniform(t0, t1, n))
-        if self._key_p is not None:
-            key_idx = np.asarray(
-                rng.choice(len(self.keys), size=n, p=self._key_p),
-                dtype=np.int64,
-            )
+        rng, times, key_idx = drawn
+        if self.sizes is not None:
+            sizes = self._record_sizes(times)
         else:
-            key_idx = rng.integers(0, len(self.keys), n)
-        origin_t = self._origin_time
-        if self.bytes_fn is not None:
-            bytes_fn = self.bytes_fn
-            sizes = np.fromiter(
-                (
-                    max(1.0, float(bytes_fn(float(times[i]) - origin_t)))
-                    for i in range(n)
-                ),
-                np.float64,
-                n,
-            )
-        else:
-            sizes = np.full(n, self.record_bytes, dtype=np.float64)
-        values = rng.normal(size=n)
+            sizes = np.full(len(times), self.record_bytes, dtype=np.float64)
+        values = rng.normal(size=len(times))
         if self._key_table is None or len(self._key_table) != len(self.keys):
             self._key_table = tuple(self.keys)
         return RecordBatch(

@@ -43,29 +43,14 @@ class TumblingWindows:
 
         The scalar path computes ``(t // length) * length`` with
         CPython float floor-division, which is *not* ``floor(t /
-        length)``: CPython derives the quotient from ``fmod`` and
-        applies a half-ulp correction, so e.g. large ``t`` just below a
-        window boundary can floor differently than naive division.
-        This replicates that algorithm (for the non-negative operands
-        the stream plane uses) so both planes bucket every record into
+        length)``: it derives the quotient from ``fmod`` and rounds
+        it, so a large ``t`` just below a window boundary can floor
+        differently than naive division would. numpy's float
+        ``floor_divide`` runs that same fmod-based algorithm (sign
+        handling included), so both planes bucket every record into
         the same window.
         """
-        length = self.length
-        mod = np.fmod(event_times, length)
-        div = (event_times - mod) / length
-        floordiv = np.floor(div)
-        # CPython rounds the reconstructed quotient to the nearest
-        # integer when it lands within half a unit — mirror it.
-        floordiv[(div - floordiv) > 0.5] += 1.0
-        if np.any(event_times < 0.0):
-            # Negative event times take CPython's sign-correction
-            # branch; defer to the scalar path for exactness.
-            neg = event_times < 0.0
-            floordiv[neg] = [
-                t // length for t in event_times[neg].tolist()
-            ]
-            return floordiv * length
-        return floordiv * length
+        return np.floor_divide(event_times, self.length) * self.length
 
 
 class SlidingWindows:

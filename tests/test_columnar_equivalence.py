@@ -34,6 +34,7 @@ from repro.streaming import (
     Record,
     RecordBatch,
     SageShipping,
+    TraceSource,
 )
 from repro.streaming.dataflow import SiteSpec, StreamJob
 from repro.streaming.operators import MapOperator, builtin_aggregate
@@ -51,7 +52,13 @@ def plane_guard():
     set_default_record_plane(previous)
 
 
-def _run_job(plane, operators=None, sources=None, aggregate="mean"):
+def _run_job(
+    plane,
+    operators=None,
+    sources=None,
+    aggregate="mean",
+    regions=("NEU", "WEU"),
+):
     env = CloudEnvironment(seed=7)
     engine = SageEngine(env, deployment_spec={"NEU": 2, "WEU": 2, "NUS": 2})
     engine.start()
@@ -69,7 +76,7 @@ def _run_job(plane, operators=None, sources=None, aggregate="mean"):
                 ],
                 operators=list(operators or []),
             )
-            for region in ("NEU", "WEU")
+            for region in regions
         ],
         aggregation_region="NUS",
         windows=TumblingWindows(10.0),
@@ -107,11 +114,60 @@ def test_poisson_job_identical_across_planes():
     assert columnar == legacy
 
 
-@pytest.mark.parametrize("aggregate", ["count", "sum", "min", "max", "var"])
+@pytest.mark.parametrize(
+    "aggregate", ["count", "sum", "mean", "min", "max", "var"]
+)
 def test_builtin_aggregates_identical_across_planes(aggregate):
     legacy = _observables(_run_job(LEGACY, aggregate=aggregate))
     columnar = _observables(_run_job(COLUMNAR, aggregate=aggregate))
     assert legacy["results"], "run produced no windows — vacuous test"
+    assert columnar == legacy
+
+
+def _mixed_key_table_sources(region):
+    # The engine starts at t=300, so windows are [300, 310), [310, 320)...
+    # The Poisson source ticks every 4 s: its [308, 312) batch spans two
+    # windows. The trace brings its own key table, and its "late" key
+    # first shows up at 315.5, after [310, 320)'s table was allocated
+    # by the Poisson records of [310, 312).
+    return [
+        PoissonSource(
+            name=f"p-{region.lower()}",
+            rate=200.0,
+            keys=["a", "b", "c"],
+            tick=4.0,
+        ),
+        TraceSource(
+            name=f"t-{region.lower()}",
+            trace=[
+                (315.5 + 10.0 * i + j * 0.25, key, float(i * j + 1))
+                for i in range(4)
+                for j, key in enumerate(("late", "b", "later"))
+            ],
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "aggregate", ["count", "sum", "mean", "min", "max", "var"]
+)
+def test_mixed_key_tables_on_one_site_identical_across_planes(aggregate):
+    def run(plane):
+        return _observables(
+            _run_job(
+                plane,
+                sources=_mixed_key_table_sources,
+                aggregate=aggregate,
+                regions=("NEU",),
+            )
+        )
+
+    legacy = run(LEGACY)
+    columnar = run(COLUMNAR)
+    keys_by_window = {}
+    for start, _, key, _, _ in legacy["results"]:
+        keys_by_window.setdefault(start, set()).add(key)
+    assert {"a", "b", "c", "late", "later"} <= keys_by_window[310.0]
     assert columnar == legacy
 
 

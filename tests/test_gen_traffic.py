@@ -12,6 +12,7 @@ from repro.gen.traffic import (
     render_sizes,
 )
 from repro.simulation.engine import Simulator
+from repro.streaming.records import RecordBatch
 from repro.streaming.sources import ScheduleSource
 
 
@@ -142,7 +143,7 @@ def test_build_source_emits_reproducibly():
 
 def test_schedule_source_tracks_its_program():
     sched = RateSchedule(resolution=60.0, values=(2.0, 50.0))
-    src = ScheduleSource("s", rate_fn=sched.at, keys=["k"], tick=1.0)
+    src = ScheduleSource("s", rates=sched, keys=["k"], tick=1.0)
     sim = Simulator(seed=1)
     out = []
     src.attach(sim, "NEU", out.extend)
@@ -153,3 +154,64 @@ def test_schedule_source_tracks_its_program():
     fast = [r for r in out if r.event_time >= 60.0]
     # 25x the rate in the second minute must show up in the counts.
     assert len(fast) > 5 * max(1, len(slow))
+
+
+def _reference_tick(rng, rates, sizes, p, t0, t1, origin):
+    """One ScheduleSource tick drawn the way ``rng.choice`` and a scalar
+    ``sizes.at`` per record would (tick == integrate_step == 1)."""
+    n = int(rng.poisson(rates.at(t0 + 0.5 - origin)))
+    if n == 0:
+        return None
+    times = np.sort(rng.uniform(t0, t1, n))
+    key_idx = rng.choice(len(p), size=n, p=p)
+    record_sizes = [
+        max(1.0, float(sizes.at(float(t) - origin))) for t in times
+    ]
+    return times, key_idx, rng.normal(size=n), record_sizes
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_schedule_source_draws_match_choice_and_scalar_sizes(batch):
+    weights = [5.0, 0.0, 1.0, 2.5, 0.25, 9.0]
+    p = np.asarray(weights) / sum(weights)
+    rates = RateSchedule(
+        resolution=1.0, values=(3.0, 12.0, 0.0, 25.0, 1.0, 18.0, 9.0, 14.0)
+    )
+    # Sizes below 1 byte clamp up; the 8 s program ends long before the
+    # 20 s run, so later records clamp to its last value.
+    sizes = RateSchedule(resolution=2.0, values=(0.25, 3.0, 480.0, 7.5))
+    src = ScheduleSource(
+        "s",
+        rates=rates,
+        keys=[f"k{i}" for i in range(len(weights))],
+        key_weights=weights,
+        sizes=sizes,
+        emit_batch=batch,
+    )
+    sim = Simulator(seed=11)
+    src.attach(sim, "NEU", lambda records: None)
+    ref = Simulator(seed=11).rngs.get("source/s")
+    origin, drawn = 100.0, 0
+    for tick in range(20):
+        t0 = origin + tick
+        want = _reference_tick(ref, rates, sizes, p, t0, t0 + 1.0, origin)
+        out = (
+            src._emit_tick_batch(t0, t0 + 1.0)
+            if batch
+            else RecordBatch.from_records(src._emit_tick(t0, t0 + 1.0))
+        )
+        if want is None:
+            assert len(out) == 0
+            continue
+        times, key_idx, values, record_sizes = want
+        drawn += len(times)
+        assert out.t.tolist() == times.tolist()
+        assert [out.keys[i] for i in out.key_idx] == [
+            f"k{i}" for i in key_idx
+        ]
+        assert out.value.tolist() == values.tolist()
+        assert out.size.tolist() == record_sizes
+    assert drawn > 100
+    assert sim.rngs.get("source/s").bit_generator.state == (
+        ref.bit_generator.state
+    )

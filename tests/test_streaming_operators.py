@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from repro.streaming.events import Record
 from repro.streaming.operators import (
+    AggregateFn,
     FilterOperator,
     MapOperator,
     PartialAggregate,
     WindowedAggregator,
     builtin_aggregate,
 )
+from repro.streaming.records import RecordBatch
 from repro.streaming.windows import TumblingWindows
 
 
@@ -168,3 +170,43 @@ def test_open_windows_tracked():
     assert wa.open_windows == 2
     wa.advance_watermark(30.0)
     assert wa.open_windows == 0
+
+
+def _collect_aggregate():
+    # A custom aggregate without declared columns: its tuple state lives
+    # in the window tables' default object column.
+    return AggregateFn(
+        "collect",
+        zero=lambda: (),
+        add=lambda s, v: (*s, float(v)),
+        merge=lambda a, b: (*a, *b),
+        result=len,
+    )
+
+
+def test_custom_aggregate_state_is_kept_verbatim_in_the_tables():
+    def aggregator():
+        return WindowedAggregator(TumblingWindows(10.0), _collect_aggregate())
+
+    records = [
+        rec(t, key=k, value=t)
+        for t, k in [(1.0, "b"), (2.0, "a"), (3.0, "b"), (12.0, "a")]
+    ]
+    per_record = aggregator()
+    for r in records:
+        per_record.process(r)
+    batched = aggregator()
+    batched.process_batch(RecordBatch.from_records(records, origin="NEU"))
+    restored = aggregator()
+    restored.restore(batched.snapshot())
+    assert restored.snapshot() == batched.snapshot() == per_record.snapshot()
+
+    out = restored.advance_watermark(20.0)
+    assert [
+        (r.value.window.start, r.key, r.value.state, r.value.count)
+        for r in out
+    ] == [
+        (0.0, "a", (2.0,), 1),
+        (0.0, "b", (1.0, 3.0), 2),
+        (10.0, "a", (12.0,), 1),
+    ]

@@ -1,5 +1,8 @@
 """Unit + property tests for window assigners and watermark edge cases."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +64,73 @@ def test_property_tumbling_covers_every_instant(t):
     w = TumblingWindows(7.5).assign(t)
     assert len(w) == 1
     assert w[0].contains(t)
+
+
+# ----------------------------------------------------------------------
+# assign_starts parity with the scalar assign
+# ----------------------------------------------------------------------
+_LENGTHS = (60.0, 10.0, 7.5, 1.0, 0.1, 3.7, 1e-3, 7e5)
+
+
+def _scalar_start(windows: TumblingWindows, t: float) -> float:
+    # Past ~1e16 * length a window is narrower than one ulp and
+    # ``assign`` cannot build it; compare with the expression it uses.
+    start = (t // windows.length) * windows.length
+    if start + windows.length > start:
+        assert windows.assign(t)[0].start == start
+    return start
+
+
+def _assert_starts_match(windows: TumblingWindows, times: list[float]) -> None:
+    got = windows.assign_starts(np.asarray(times, dtype=np.float64))
+    for t, start in zip(times, got.tolist()):
+        want = _scalar_start(windows, t)
+        # Bitwise: equal values *and* equal sign bits (-0.0 vs 0.0).
+        assert math.copysign(1.0, start) == math.copysign(1.0, want), t
+        assert start == want, (t, start, want)
+
+
+def _adversarial_times(length: float) -> list[float]:
+    times: list[float] = []
+    for k in range(-300, 301):
+        edge = k * length
+        times += [
+            edge,
+            np.nextafter(edge, math.inf).item(),
+            np.nextafter(edge, -math.inf).item(),
+        ]
+    for k in (10**6, 10**9, 10**12, 3 * 10**15):
+        edge = k * length
+        times += [
+            edge,
+            np.nextafter(edge, math.inf).item(),
+            np.nextafter(edge, -math.inf).item(),
+            -edge,
+        ]
+    return times + [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("length", _LENGTHS)
+def test_assign_starts_matches_scalar_at_adversarial_times(length):
+    _assert_starts_match(TumblingWindows(length), _adversarial_times(length))
+
+
+@given(
+    st.lists(
+        st.floats(
+            min_value=-1e300,
+            max_value=1e300,
+            allow_nan=False,
+            allow_infinity=False,
+        ),
+        min_size=1,
+        max_size=50,
+    ),
+    st.sampled_from(_LENGTHS),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_assign_starts_matches_scalar(times, length):
+    _assert_starts_match(TumblingWindows(length), times)
 
 
 # ----------------------------------------------------------------------
